@@ -73,9 +73,8 @@ def peak_rss_mb(pids: list[int]) -> float:
     return total_kb / 1024.0
 
 
-def run_command(argv: list[str], *, env: dict, cwd: Path, timeout_s: float = 120.0) -> float:
-    """Run one CLI command to completion; returns its wall seconds."""
-    started = time.perf_counter()
+def run_command(argv: list[str], *, env: dict, cwd: Path, timeout_s: float = 120.0) -> None:
+    """Run one CLI command to completion; raises :class:`ProgramError` on failure."""
     proc = subprocess.Popen(
         argv,
         env=env,
@@ -95,7 +94,6 @@ def run_command(argv: list[str], *, env: dict, cwd: Path, timeout_s: float = 120
     if proc.returncode != 0:
         tail = err.decode("utf-8", "replace").strip().splitlines()[-3:]
         raise ProgramError(f"{' '.join(argv[3:])} exited {proc.returncode}: {' | '.join(tail)}")
-    return time.perf_counter() - started
 
 
 def _reap_session(sid: int, timeout_s: float) -> None:

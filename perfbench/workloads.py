@@ -111,7 +111,12 @@ def _submit_one(client: CbesClient, body: dict) -> dict:
 
 
 class Workload:
-    """What every workload provides; see the subclasses for the why."""
+    """What every workload provides; see the subclasses for the why.
+
+    A subclass makes operations with ``_op(index, phase, ...)`` and
+    performs one with ``_execute(client, op)``, returning the job
+    documents of its answer.
+    """
 
     name = ""
     cluster = ""
@@ -140,34 +145,38 @@ class Workload:
         raise NotImplementedError
 
     def run(self, open_client, seconds: float, recorder) -> tuple[list[Op], float, float]:
-        """Drive the timed window; returns (ops, window start, window end)."""
-        raise NotImplementedError
+        """Drive the timed window; returns (ops, window start, window end).
 
-    # -- helpers shared by the closed-loop workloads --------------------
-    def _closed_loop(self, client, make_op, execute, seconds: float, recorder):
+        This is the closed loop: one client sends the next operation
+        when the previous one has its answer.
+        """
+        client = open_client()
         ops: list[Op] = []
         t0 = time.monotonic()
-        while time.monotonic() < t0 + seconds:
-            op = make_op(self._next_index(), "timed")
-            op.start = op.sent = time.monotonic()
-            with recorder.span(f"op.{op.kind}", "harness", op.id):
-                try:
-                    op.jobs = execute(client, op)
-                except _OP_ERRORS as exc:
-                    op.fail(exc)
-                else:
-                    op.outcome = "ok"
-            op.done = time.monotonic()
-            ops.append(op)
+        try:
+            while time.monotonic() < t0 + seconds:
+                op = self._op(self._next_index(), "timed")
+                op.start = op.sent = time.monotonic()
+                with recorder.span(f"op.{op.kind}", "harness", op.id):
+                    try:
+                        op.jobs = self._execute(client, op)
+                    except _OP_ERRORS as exc:
+                        op.fail(exc)
+                    else:
+                        op.outcome = "ok"
+                op.done = time.monotonic()
+                ops.append(op)
+        finally:
+            client.close()
         return ops, t0, time.monotonic()
 
-    def _warm(self, client, make_op, execute, count: int, recorder) -> list[Op]:
+    def _warm(self, client, make_op, count: int, recorder) -> list[Op]:
         ops = []
         for _ in range(count):
             op = make_op(self._next_index(), "warmup")
             op.start = op.sent = time.monotonic()
             with recorder.span(f"op.{op.kind}", "harness", op.id):
-                op.jobs = execute(client, op)  # a warm-up failure aborts the run
+                op.jobs = self._execute(client, op)  # a warm-up failure aborts the run
             op.done = time.monotonic()
             op.outcome = "ok"
             ops.append(op)
@@ -240,7 +249,7 @@ class Estimate(Workload):
     def warm_up(self, client, recorder):
         mix = iter([(app, n, kind) for app, n in self.apps for kind in ("predict", "compare")])
         return self._warm(
-            client, lambda i, phase: self._op(i, phase, *next(mix)), self._execute, 4, recorder
+            client, lambda i, phase: self._op(i, phase, *next(mix)), 4, recorder
         )
 
     def run(self, open_client, seconds, recorder):
@@ -351,15 +360,8 @@ class Schedule(Workload):
         # both contexts and fills the workers' caches.
         combos = iter([(app, s) for app, _ in self.apps for s in ("cs", "ga")])
         return self._warm(
-            client, lambda i, phase: self._op(i, phase, next(combos)), self._execute, 4, recorder
+            client, lambda i, phase: self._op(i, phase, next(combos)), 4, recorder
         )
-
-    def run(self, open_client, seconds, recorder):
-        client = open_client()
-        try:
-            return self._closed_loop(client, self._op, self._execute, seconds, recorder)
-        finally:
-            client.close()
 
 
 class Ingest(Workload):
@@ -419,14 +421,7 @@ class Ingest(Workload):
         return client.wait_many([job["id"] for job in accepted], timeout_s=60.0)
 
     def warm_up(self, client, recorder):
-        return self._warm(client, self._op, self._execute, 2, recorder)
-
-    def run(self, open_client, seconds, recorder):
-        client = open_client()
-        try:
-            return self._closed_loop(client, self._op, self._execute, seconds, recorder)
-        finally:
-            client.close()
+        return self._warm(client, self._op, 2, recorder)
 
 
 WORKLOADS = ("estimate", "schedule", "ingest")
