@@ -142,6 +142,23 @@ class Deployment:
         shutil.rmtree(self.work, ignore_errors=True)
 
 
+def host_reference_ms(repeats: int = 5) -> float:
+    """Median time of a fixed pure-Python loop, in ms: the host's speed now.
+
+    Not a metric of the program.  It is printed with every run so that
+    a shift in the figures that follows the host's speed (a shared
+    machine) can be told from one the program made.
+    """
+    times = []
+    for _ in range(repeats):
+        started = time.perf_counter()
+        total = 0
+        for i in range(200_000):
+            total += i * i % 7
+        times.append(time.perf_counter() - started)
+    return 1e3 * median(times)
+
+
 def _compile_sources() -> None:
     """Build the bytecode once, so the first set-up times no compilation."""
     subprocess.run(
@@ -160,7 +177,6 @@ class Window:
     t1: float
     cpu_s: float
     rss_mb: float
-    own_s: float  # span-recorder bookkeeping inside the window
     before: dict  # scrapes, see layers.scrape
     after: dict
     daemons: list[str]
@@ -172,9 +188,7 @@ def serve_window(deployment: Deployment, seconds: float) -> Window:
     program = deployment.program
     before = layers.scrape(deployment.endpoints)
     cpu_before = cpu_seconds(program.pids())
-    own_before = recorder.own_seconds
     ops, t0, t1 = deployment.workload.run(deployment.client, seconds, recorder)
-    own_s = recorder.own_seconds - own_before
     pids = program.pids()
     cpu_after = cpu_seconds(pids)
     rss_mb = peak_rss_mb(pids)
@@ -186,7 +200,6 @@ def serve_window(deployment: Deployment, seconds: float) -> Window:
         t1=t1,
         cpu_s=sum(v - cpu_before.get(pid, 0.0) for pid, v in cpu_after.items()),
         rss_mb=rss_mb,
-        own_s=own_s,
         before=before,
         after=after,
         daemons=deployment.daemons,
@@ -235,6 +248,7 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool) -> dict:
     """
     recorder = SpanRecorder(trace)
     workload = make_workload(name, seed, lambda cluster: build_cluster(cluster).node_ids())
+    host_ms = [host_reference_ms()]
     (STATE / "work").mkdir(parents=True, exist_ok=True)
 
     setups: list[dict[str, float]] = []
@@ -266,21 +280,40 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool) -> dict:
                 extra.update(probe_direct(oracle, window, deployment.work, seed, recorder))
         finally:
             deployment.remove()
+    host_ms.append(host_reference_ms())
 
     result = {
         "workload": name,
         "seed": seed,
+        "host_ref_ms": median(host_ms),
         "e2e": end_to_end(workload, setups, windows),
         "problems": [line for w in windows for line in w.problems],
         "ops": [op for w in windows for op in w.ops],
         "warm_ops": [op for w in windows for op in w.warm_ops],
     }
     if trace:
+        extra["host.ref_ms"] = result["host_ref_ms"]
         result["per_layer"] = per_layer(workload, setups, windows, extra, recorder)
         out = STATE / "out" / f"spans-{name}-{seed}.jsonl"
         recorder.write(out)
         result["spans_path"] = out
         result["self_times"] = recorder.self_times()
+    return result
+
+
+def traced_run(name: str, seed: int, seconds: float) -> dict:
+    """An untraced run, then a traced one, of the same seed.
+
+    ``trace.overhead_ratio`` is the traced run's median latency over the
+    untraced run's; it carries their run-to-run noise as well.  A wrong
+    answer in either run fails the result.
+    """
+    untraced = run_workload(name, seed, seconds, False)
+    result = run_workload(name, seed, seconds, True)
+    result["per_layer"]["trace.overhead_ratio"] = ratio(
+        result["e2e"]["latency_p50_ms"], untraced["e2e"]["latency_p50_ms"]
+    )
+    result["problems"] = untraced["problems"] + result["problems"]
     return result
 
 
@@ -348,7 +381,6 @@ def per_layer(workload, setups, windows: list[Window], extra, recorder) -> dict:
     ops = [op for w in windows for op in w.ops]
     ok = [op for op in ops if op.outcome == "ok"]
     jobs = sum(op.njobs for op in ok)
-    wall = sum(w.t1 - w.t0 for w in windows)
     deltas = _deltas(windows)
     spans = [s for w in windows for s in recorder.in_window(w.t0, w.t1)]
 
@@ -471,13 +503,13 @@ def per_layer(workload, setups, windows: list[Window], extra, recorder) -> dict:
     ontime = sum(1 for op in ok if op.latency_s <= workload.limit_s)
     out.update({
         "gen.late_tail_ms": late_tail,
+        "host.ref_ms": extra["host.ref_ms"],
         "ops.attempted": counts["attempted"],
         "ops.ok": counts["ok"],
         "ops.failed": counts["failed"],
         "ops.refused": counts["refused"],
         "ops.wrong": counts["wrong"],
         "ops.miss_share": 1.0 - ratio(ontime, counts["attempted"]),
-        "trace.overhead_ratio": 1.0 + sum(w.own_s for w in windows) / wall,
     })
     return out
 
@@ -498,6 +530,7 @@ def print_report(result: dict, trace: bool) -> None:
         counts = count_outcomes(result[phase])
         label = "warm-up" if phase == "warm_ops" else "timed"
         print(f"  ops {label:8s} " + " ".join(f"{k}={v}" for k, v in counts.items()))
+    print(f"  host reference loop {result['host_ref_ms']:.3f} ms (the host's speed; not a metric)")
     print("  end to end:")
     for metric, unit, _better, _bound in spec.END_TO_END:
         line = f"    {metric:24s} {e2e[metric]:14.4f} {unit}"
@@ -563,7 +596,10 @@ def main(argv: list[str] | None = None) -> int:
     _compile_sources()
     results = []
     for name in names:
-        result = run_workload(name, args.seed, args.seconds, bool(args.trace))
+        if args.trace:
+            result = traced_run(name, args.seed, args.seconds)
+        else:
+            result = run_workload(name, args.seed, args.seconds, False)
         print_report(result, bool(args.trace))
         results.append(result)
     doc = summary(results, bool(args.trace))

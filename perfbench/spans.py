@@ -9,9 +9,7 @@ until :meth:`SpanRecorder.write` dumps them as JSON lines at the end of
 the run.
 
 When disabled, :meth:`SpanRecorder.span` is a no-op context manager, so
-the untraced run pays nothing.  When enabled, the recorder times its own
-bookkeeping; :attr:`SpanRecorder.own_seconds` is what the trace cost
-the threads that recorded it.
+the untraced run pays nothing.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ class SpanRecorder:
     def __init__(self, enabled: bool):
         self.enabled = enabled
         self.spans: list[dict] = []
-        self.own_seconds = 0.0
         self._local = threading.local()
         self._lock = threading.Lock()
 
@@ -40,7 +37,6 @@ class SpanRecorder:
 
     @contextlib.contextmanager
     def _span(self, name: str, layer: str, request_id: str | None):
-        entered = time.perf_counter()
         stack = getattr(self._local, "stack", None)
         if stack is None:
             stack = self._local.stack = []
@@ -61,16 +57,11 @@ class SpanRecorder:
             self.spans.append(record)
         stack.append(index)
         record["start"] = time.monotonic()
-        overhead = time.perf_counter() - entered
         try:
             yield record
         finally:
-            leaving = time.perf_counter()
             record["end"] = time.monotonic()
             stack.pop()
-            overhead += time.perf_counter() - leaving
-            with self._lock:
-                self.own_seconds += overhead
 
     def in_window(self, start: float, end: float) -> list[dict]:
         return [s for s in self.spans if s["start"] >= start and s["end"] <= end]

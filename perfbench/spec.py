@@ -6,34 +6,36 @@ root of the repository is this module's output::
     python3 perfbench/spec.py > BENCHMARK.json
 
 Every per-layer metric names the end-to-end metric and workload it is
-expected to move (``moves``); ``README.md`` in this directory repeats
-that table.
+expected to move (``moves``).  This list is the only copy of that
+mapping: ``run.py --trace 1`` prints it next to each value.
 """
 
 from __future__ import annotations
 
 import json
 
+#: Every workload draws its requests from ``--seed`` (default 1); the
+#: ``why`` says so, because BENCHMARK.json has no field for the seed.
 WORKLOADS = [
     {
         "name": "estimate",
         "why": (
             "open loop, Poisson 50/s predict (90%) and compare-of-8 into one in-memory "
-            "daemon: ~0.5 ms of compute behind the HTTP, queue, thread-hop and poll path"
+            "daemon: ~0.5 ms of compute behind the HTTP, queue and poll path; seed 1"
         ),
     },
     {
         "name": "schedule",
         "why": (
-            "closed loop GA and CS (1 in 10) searches, workers=2, cg.A/lu.A at 16 ranks on "
-            "128-node Centurion: schedulers, fast_eval and the warm search pool dominate"
+            "closed loop CS (2 in 3) and GA searches, workers=2, cg.A/lu.A at 16 ranks on "
+            "128-node Centurion: schedulers, fast_eval and the warm search pool; seed 1"
         ),
     },
     {
         "name": "ingest",
         "why": (
-            "closed loop 32-job predict batches plus wait_many through a 2-replica fleet "
-            "with fsync=always: the journal, the router and listing sweeps work only here"
+            "closed loop 32-job predict batches plus wait_many through a 2-replica fleet, "
+            "fsync=always: the journal, router and listing sweeps work only here; seed 1"
         ),
     },
 ]
@@ -106,6 +108,7 @@ PER_LAYER = [
     ("ops.wrong", "count", "lower", "ontime_share, all (not gated)"),
     ("ops.miss_share", "share", "lower", "ontime_share, all (not gated)"),
     ("trace.overhead_ratio", "ratio", "lower", "validity of the traced run (not gated)"),
+    ("host.ref_ms", "ms", "lower", "none: the host's speed, to tell host drift from a change (not gated)"),
 ]
 
 RUN_SECONDS = 10

@@ -6,16 +6,22 @@ and prints, per end-to-end metric, the median over the runs and the
 distance between the first and third quartile as a share of the
 median, next to the metric's bound::
 
-    python3 perfbench/spread.py --workload estimate --seeds 1-10 --seconds 10
+    python3 perfbench/spread.py --workload schedule --seeds 1-10 --save set1.json
+    python3 perfbench/spread.py --workload schedule --seeds 1-10 --against set1.json
 
-A spread above a third of the bound means the metric is not steady
-enough to gate on (``setup_s`` is reported but exempt).
+Every bounded metric, ``setup_s`` included, must spread by less than a
+third of its bound.  With ``--against``, each median must also not be
+worse than the saved set's median by more than the bound.  The exit
+code is 1 when any of this fails.  Each run's host reference loop
+(``host.ref_ms``) is printed as well, so a spread that follows the
+host's speed shows as such.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -34,41 +40,75 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
+def run_once(workload: str, seed: int, seconds: float) -> dict[str, float] | None:
+    proc = subprocess.run(
+        [sys.executable, str(HERE / "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        capture_output=True, text=True, check=False,
+    )
+    last = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
+    if proc.returncode != 0 or not last.startswith("{"):
+        print(f"seed {seed}: exit {proc.returncode}\n{proc.stderr[-2000:]}", file=sys.stderr)
+        return None
+    values = {name: m["value"] for name, m in json.loads(last)["metrics"].items()}
+    host = re.search(r"host reference loop ([0-9.]+) ms", proc.stdout)
+    values["host.ref_ms"] = float(host.group(1)) if host else float("nan")
+    return values
+
+
+def worse_by(better: str, first: float, second: float) -> float:
+    """How much worse *second* is than *first*, as a share of *first*."""
+    if not first:
+        return 0.0 if second == first else float("inf")
+    change = (second - first) / first
+    return change if better == "lower" else -change
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", default="1-10", help="e.g. 1-10 or 3,5,8")
     parser.add_argument("--seconds", type=float, default=spec.RUN_SECONDS)
+    parser.add_argument("--save", type=Path, help="write the per-seed values here")
+    parser.add_argument("--against", type=Path, help="compare medians with a saved set")
     args = parser.parse_args()
 
     runs = []
     for seed in parse_seeds(args.seeds):
-        proc = subprocess.run(
-            [sys.executable, str(HERE / "run.py"), "--workload", args.workload,
-             "--seed", str(seed), "--seconds", str(args.seconds), "--trace", "0"],
-            capture_output=True, text=True, check=False,
-        )
-        last = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
-        if proc.returncode != 0 or not last.startswith("{"):
-            print(f"seed {seed}: exit {proc.returncode}\n{proc.stderr[-2000:]}", file=sys.stderr)
+        values = run_once(args.workload, seed, args.seconds)
+        if values is None:
             return 1
-        doc = json.loads(last)
-        runs.append({name: m["value"] for name, m in doc["metrics"].items()})
-        print(f"seed {seed}: " + " ".join(f"{k}={v!r}" for k, v in runs[-1].items()),
-              flush=True)
+        runs.append(values)
+        print(f"seed {seed}: " + " ".join(f"{k}={v:.6g}" for k, v in values.items()), flush=True)
+    if args.save:
+        args.save.write_text(json.dumps(runs, indent=1))
+    earlier = json.loads(args.against.read_text()) if args.against else None
 
-    worst = 0.0
-    print(f"{'metric':20s} {'median':>12s} {'spread':>8s} {'bound':>6s}")
-    for name, _unit, _better, bound in spec.END_TO_END:
+    ok = True
+    header = f"{'metric':20s} {'median':>12s} {'spread':>8s} {'bound':>6s}"
+    print(header + ("  earlier   worse-by" if earlier else ""))
+    for name, _unit, better, bound in spec.END_TO_END:
         values = [run[name] for run in runs]
         mid = statistics.median(values)
         q1, _q2, q3 = statistics.quantiles(values, n=4)
         spread = (q3 - q1) / mid if mid else float("inf")
-        flag = "" if spread <= bound / 3 or name == "setup_s" else "  <-- above bound/3"
-        if name != "setup_s":
-            worst = max(worst, spread / bound)
-        print(f"{name:20s} {mid:12.4f} {spread:8.4f} {bound:6.2f}{flag}")
-    return 0 if worst <= 1 / 3 else 1
+        line = f"{name:20s} {mid:12.4f} {spread:8.4f} {bound:6.2f}"
+        flags = []
+        if spread > bound / 3:
+            flags.append("spread above bound/3")
+        if earlier:
+            before = statistics.median(run[name] for run in earlier)
+            drift = worse_by(better, before, mid)
+            line += f" {before:9.4f} {drift:+9.4f}"
+            if drift > bound:
+                flags.append("median worse than the earlier set by more than the bound")
+        ok = ok and not flags
+        print(line + ("  <-- " + "; ".join(flags) if flags else ""))
+    host = [run["host.ref_ms"] for run in runs]
+    q1, _q2, q3 = statistics.quantiles(host, n=4)
+    print(f"{'host.ref_ms':20s} {statistics.median(host):12.4f} "
+          f"{(q3 - q1) / statistics.median(host):8.4f}  (the host's speed, not bounded)")
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

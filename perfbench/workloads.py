@@ -318,21 +318,30 @@ class Schedule(Workload):
     apps = (("cg.A", 16), ("lu.A", 16))
     limit_s = 3.0
     workers = 2
-    #: Every tenth job is a CS search, the rest GA; applications
-    #: alternate.  CS takes 0.6-1.2 s and GA 0.1-0.2 s.  With one CS in
-    #: ten, the median and the tail (about p78 of ~45 jobs) both fall
-    #: inside the GA mode instead of on the boundary between the modes,
-    #: while CS still takes about 40% of the window.
+    #: Two jobs in three are CS searches, the third GA; applications
+    #: alternate.  A GA search takes 40-140 ms depending on its seed
+    #: (it stops early when its best stalls), so GA jobs straddle the
+    #: client's 50 ms poll steps and a median inside the GA mode jumps a
+    #: whole step when the host's speed shifts.  CS searches take
+    #: 0.3-0.9 s spread over a dozen poll steps, so with CS in the
+    #: majority the median and the tail both fall inside the CS mode and
+    #: move smoothly with search time.
     #:
-    #: A CS search's length depends on its seed (1.4k-3.1k evaluations),
-    #: and a window holds only ~5 of them, so a CS job's seed is its
+    #: A CS search's length depends on its seed (1.4k-3.1k evaluations)
+    #: and a window holds only ~15 of them, so a CS job's seed is its
     #: operation index: every run does the same CS work, and ``--seed``
     #: draws the GA seeds.
-    cs_every = 10
+    cycle = ("ga", "cs", "cs")
+    # Which pool worker runs which CS restart is a race, and a worker's
+    # resident memory depends on the restarts it has run.  A third of
+    # the window holds too few CS jobs for every worker to have run every
+    # kind, so peak memory would vary from set-up to set-up; the whole
+    # window on one set-up holds enough.
+    split_window = False
 
     def _class(self, index: int) -> tuple[str, str]:
         app = self.apps[index % len(self.apps)][0]
-        return app, "cs" if index % self.cs_every == self.cs_every - 1 else "ga"
+        return app, self.cycle[index % len(self.cycle)]
 
     def program_args(self, data_root):
         return _serve_args()
