@@ -127,6 +127,8 @@ class Workload:
     monitor_seed: int | None = None
     #: Serve a share of the timed window on every set-up (else all on the last).
     split_window = True
+    #: Full set-ups per run; ``setup_s`` is their median.
+    setups = 5
 
     def __init__(self, seed: int):
         self.rng = random.Random(f"{self.name}:{seed}")
@@ -338,6 +340,9 @@ class Schedule(Workload):
     # kind, so peak memory would vary from set-up to set-up; the whole
     # window on one set-up holds enough.
     split_window = False
+    # A set-up here takes ~8 s (calibrating 128 nodes, CS warm-up), so
+    # fewer of them keep a run inside its time.
+    setups = 3
 
     def _class(self, index: int) -> tuple[str, str]:
         app = self.apps[index % len(self.apps)][0]
