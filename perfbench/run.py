@@ -49,6 +49,9 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 STATE = ROOT / ".perfbench"
 
+#: Full set-ups per run; ``setup_s`` is their median.
+SETUP_REPEATS = 3
+
 
 def _python_env(work: Path) -> dict:
     env = dict(os.environ)
@@ -237,7 +240,7 @@ def probe_direct(oracle, window: Window, work: Path, seed: int, recorder) -> dic
 
 
 def run_workload(name: str, seed: int, seconds: float, trace: bool) -> dict:
-    """Set the program up ``workload.setups`` times and serve the timed window.
+    """Set up ``SETUP_REPEATS`` times and serve the timed window.
 
     Workloads with ``split_window`` serve an equal share of the window
     on every set-up, so a run measures several fresh program processes;
@@ -251,18 +254,18 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool) -> dict:
     setups: list[dict[str, float]] = []
     windows: list[Window] = []
     extra: dict[str, float] = {}
-    for repeat in range(workload.setups):
-        last = repeat == workload.setups - 1
+    for repeat in range(SETUP_REPEATS):
+        last = repeat == SETUP_REPEATS - 1
         deployment = Deployment(workload, recorder)
         try:
             deployment.set_up()
             setups.append(deployment.phases)
-            print(f"# set-up {repeat + 1}/{workload.setups}: "
+            print(f"# set-up {repeat + 1}/{SETUP_REPEATS}: "
                   + " ".join(f"{k}={v:.3f}" for k, v in deployment.phases.items()),
                   file=sys.stderr)
             if not (workload.split_window or last):
                 continue
-            share = seconds / workload.setups if workload.split_window else seconds
+            share = seconds / SETUP_REPEATS if workload.split_window else seconds
             window = serve_window(deployment, share)
             windows.append(window)
             if trace and last:

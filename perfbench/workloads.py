@@ -127,8 +127,6 @@ class Workload:
     monitor_seed: int | None = None
     #: Serve a share of the timed window on every set-up (else all on the last).
     split_window = True
-    #: Full set-ups per run; ``setup_s`` is their median.
-    setups = 5
 
     def __init__(self, seed: int):
         self.rng = random.Random(f"{self.name}:{seed}")
@@ -330,19 +328,14 @@ class Schedule(Workload):
     #: move smoothly with search time.
     #:
     #: A CS search's length depends on its seed (1.4k-3.1k evaluations)
-    #: and a window holds only ~15 of them, so a CS job's seed is its
-    #: operation index: every run does the same CS work, and ``--seed``
-    #: draws the GA seeds.
+    #: and a window holds only ~20 of them, so a CS (or NCS warm-up)
+    #: job's seed is its operation index: every run does the same CS
+    #: work, and ``--seed`` draws the GA seeds.
     cycle = ("ga", "cs", "cs")
-    # Which pool worker runs which CS restart is a race, and a worker's
-    # resident memory depends on the restarts it has run.  A third of
-    # the window holds too few CS jobs for every worker to have run every
-    # kind, so peak memory would vary from set-up to set-up; the whole
-    # window on one set-up holds enough.
+    # The pool workers' resident memory grows over their first CS
+    # restarts; a third of the window left peak memory differing from
+    # set-up to set-up, the whole window on one set-up does not.
     split_window = False
-    # A set-up here takes ~8 s (calibrating 128 nodes, CS warm-up), so
-    # fewer of them keep a run inside its time.
-    setups = 3
 
     def _class(self, index: int) -> tuple[str, str]:
         app = self.apps[index % len(self.apps)][0]
@@ -359,7 +352,7 @@ class Schedule(Workload):
             "kind": "schedule",
             "app": app,
             "scheduler": scheduler,
-            "seed": index if scheduler == "cs" else self.rng.randrange(1 << 30),
+            "seed": self.rng.randrange(1 << 30) if scheduler == "ga" else index,
             "workers": self.workers,
         }
         return Op(f"{self.name}-{phase}-{index}", "schedule", body)
@@ -371,10 +364,16 @@ class Schedule(Workload):
 
     def warm_up(self, client, recorder):
         # One job per (application, scheduler): spawns the pool, builds
-        # both contexts and fills the workers' caches.
-        combos = iter([(app, s) for app, _ in self.apps for s in ("cs", "ga")])
+        # both contexts and fills the workers' caches.  A CS job's two
+        # restarts differ (a greedy start, and a batched seed scan), and
+        # which pool worker runs which is a race that tends to repeat, so
+        # a worker can go a whole run without a batched evaluation and
+        # stay at a third of its memory.  An NCS job seeds both its
+        # restarts with a scan, so each worker does one before the window.
+        combos = [(app, s) for app, _ in self.apps for s in ("cs", "ga", "ncs")]
+        pending = iter(combos)
         return self._warm(
-            client, lambda i, phase: self._op(i, phase, next(combos)), 4, recorder
+            client, lambda i, phase: self._op(i, phase, next(pending)), len(combos), recorder
         )
 
 
