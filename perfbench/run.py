@@ -239,8 +239,10 @@ def probe_direct(oracle, window: Window, work: Path, seed: int, recorder) -> dic
     return extra
 
 
-def run_workload(name: str, seed: int, seconds: float, trace: bool) -> dict:
-    """Set up ``SETUP_REPEATS`` times and serve the timed window.
+def run_workload(
+    name: str, seed: int, seconds: float, trace: bool, repeats: int = SETUP_REPEATS
+) -> dict:
+    """Set up *repeats* times and serve the timed window.
 
     Workloads with ``split_window`` serve an equal share of the window
     on every set-up, so a run measures several fresh program processes;
@@ -254,18 +256,18 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool) -> dict:
     setups: list[dict[str, float]] = []
     windows: list[Window] = []
     extra: dict[str, float] = {}
-    for repeat in range(SETUP_REPEATS):
-        last = repeat == SETUP_REPEATS - 1
+    for repeat in range(repeats):
+        last = repeat == repeats - 1
         deployment = Deployment(workload, recorder)
         try:
             deployment.set_up()
             setups.append(deployment.phases)
-            print(f"# set-up {repeat + 1}/{SETUP_REPEATS}: "
+            print(f"# set-up {repeat + 1}/{repeats}: "
                   + " ".join(f"{k}={v:.3f}" for k, v in deployment.phases.items()),
                   file=sys.stderr)
             if not (workload.split_window or last):
                 continue
-            share = seconds / SETUP_REPEATS if workload.split_window else seconds
+            share = seconds / repeats if workload.split_window else seconds
             window = serve_window(deployment, share)
             windows.append(window)
             if trace and last:
@@ -305,10 +307,11 @@ def traced_run(name: str, seed: int, seconds: float) -> dict:
     """An untraced run, then a traced one, of the same seed.
 
     ``trace.overhead_ratio`` is the traced run's median latency over the
-    untraced run's; it carries their run-to-run noise as well.  A wrong
-    answer in either run fails the result.
+    untraced run's; it carries their run-to-run noise as well.  The
+    untraced run sets up once, to keep the pair inside a run's time.  A
+    wrong answer in either run fails the result.
     """
-    untraced = run_workload(name, seed, seconds, False)
+    untraced = run_workload(name, seed, seconds, False, repeats=1)
     result = run_workload(name, seed, seconds, True)
     result["per_layer"]["trace.overhead_ratio"] = ratio(
         result["e2e"]["latency_p50_ms"], untraced["e2e"]["latency_p50_ms"]
