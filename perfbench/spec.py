@@ -47,7 +47,9 @@ END_TO_END = [
     ("throughput_jobs_s", "1/s", "higher", 0.25),
     ("ontime_share", "share", "higher", 0.05),
     ("cpu_ms_per_job", "ms", "lower", 0.25),
-    ("rss_mb", "MiB", "lower", 0.10),
+    # schedule's peak memory depends on which pool worker ran which
+    # restart (README, findings): runs of one commit read 655-737 MiB.
+    ("rss_mb", "MiB", "lower", 0.15),
     ("mapping_cost_s", "s", "lower", 0.05),
     ("setup_s", "s", "lower", 0.25),
 ]
