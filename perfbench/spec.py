@@ -110,7 +110,8 @@ PER_LAYER = [
     ("ops.wrong", "count", "lower", "ontime_share, all (not gated)"),
     ("ops.miss_share", "share", "lower", "ontime_share, all (not gated)"),
     ("trace.overhead_ratio", "ratio", "lower", "validity of the traced run (not gated)"),
-    ("host.ref_ms", "ms", "lower", "none: the host's speed, to tell host drift from a change (not gated)"),
+    ("host.ref_ms", "ms", "lower",
+     "none: the host's speed, which scales the end-to-end figures of CPU work (not gated)"),
 ]
 
 RUN_SECONDS = 10

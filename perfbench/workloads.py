@@ -127,6 +127,9 @@ class Workload:
     monitor_seed: int | None = None
     #: Serve a share of the timed window on every set-up (else all on the last).
     split_window = True
+    #: End-to-end metrics set by the workload's pacing rather than by CPU
+    #: work, so reported as measured (see ``run.end_to_end``).
+    unscaled: tuple[str, ...] = ()
 
     def __init__(self, seed: int):
         self.rng = random.Random(f"{self.name}:{seed}")
@@ -144,11 +147,14 @@ class Workload:
     def warm_up(self, client: CbesClient, recorder) -> list[Op]:
         raise NotImplementedError
 
-    def run(self, open_client, seconds: float, recorder) -> tuple[list[Op], float, float]:
+    def run(
+        self, open_client, seconds: float, recorder, host
+    ) -> tuple[list[Op], float, float]:
         """Drive the timed window; returns (ops, window start, window end).
 
         This is the closed loop: one client sends the next operation
-        when the previous one has its answer.
+        when the previous one has its answer, and the host's speed is
+        sampled in between, while the program is idle.
         """
         client = open_client()
         ops: list[Op] = []
@@ -166,6 +172,7 @@ class Workload:
                         op.outcome = "ok"
                 op.done = time.monotonic()
                 ops.append(op)
+                host.sample()
         finally:
             client.close()
         return ops, t0, time.monotonic()
@@ -207,6 +214,9 @@ class Estimate(Workload):
     limit_s = 0.100
     #: Offered load, operations per second.
     rate = 50.0
+    # The tail sits in the client's 50 ms poll sleep and the throughput
+    # is the offered rate; neither is CPU work.
+    unscaled = ("latency_tail_ms", "throughput_jobs_s")
     compare_share = 0.10
     compare_size = 8
 
@@ -252,7 +262,7 @@ class Estimate(Workload):
             client, lambda i, phase: self._op(i, phase, *next(mix)), 4, recorder
         )
 
-    def run(self, open_client, seconds, recorder):
+    def run(self, open_client, seconds, recorder, host):
         """Poisson arrivals: ``rate * seconds`` operations at uniform times.
 
         A Poisson process conditioned on its count places arrivals
